@@ -15,16 +15,18 @@ One :class:`Session` owns every piece of shared state a solve needs:
 * the **result cache** (:class:`~repro.runtime.ResultCache`): an in-memory
   plus optional on-disk store of materialized metric payloads, keyed by
   the job's canonical payload and the library version;
-* the **executor** (:class:`~repro.runtime.SerialExecutor` /
-  :class:`~repro.runtime.ProcessExecutor`): :meth:`Session.solve_many`
-  fans a batch out through it, so batch work and single solves share one
-  code path and one cache keying scheme.
+* the **executor** (:class:`~repro.runtime.SerialExecutor` or the warm
+  worker pool :class:`~repro.pool.WarmPoolExecutor`):
+  :meth:`Session.solve_many` fans a batch out through it, so batch work
+  and single solves share one code path and one cache keying scheme.
 
 ``session.solve(job)`` is lazy — it returns a
 :class:`~repro.api.Result` immediately and computes on attribute access;
 ``session.solve_many(jobs)`` materializes every job's standard metric set
-(through worker processes when the session was built with ``jobs > 1``)
-and persists the payloads into the result cache.
+(through the warm worker pool when the session was built with
+``jobs > 1``) and persists the payloads into the result cache.  It is
+``session.solve_many_async(jobs).result()``: one dispatch route, whose
+handle is already done when the batch ran in-process.
 """
 
 from __future__ import annotations
@@ -46,10 +48,8 @@ from ..platform.graph import Platform
 from ..runtime import (
     BoundedCache,
     ByteBudget,
-    ProcessExecutor,
     ResultCache,
     RetryPolicy,
-    SerialExecutor,
     SupervisedExecutor,
     TaskExecutor,
     TaskFailure,
@@ -93,8 +93,8 @@ class Session:
     executor:
         Explicit executor instance (overrides ``jobs`` and ``backend``).
     backend:
-        Executor backend name (``"serial"`` / ``"process"`` /
-        ``"warm-pool"``; see :func:`~repro.runtime.make_executor`).  The
+        Executor backend name (``"serial"`` or ``"warm-pool"``; see
+        :func:`~repro.runtime.make_executor`).  The
         default ``None`` picks automatically: serial for ``jobs == 1``,
         the warm worker pool for ``jobs > 1`` — except on single-CPU hosts,
         where the call warns and runs the batched serial path instead of a
@@ -103,8 +103,9 @@ class Session:
         How :meth:`solve_many` supervises its tasks — per-attempt timeout,
         retry budget, backoff (see :class:`~repro.runtime.RetryPolicy`).
         Defaults to ``RetryPolicy()`` (two retries, no timeout).
-    lp_cache / result_cache:
-        Pre-built caches (advanced; lets several sessions share state).
+    lp_cache:
+        Pre-built LP solution cache (lets several sessions share solved
+        LPs).
     max_cache_entries / max_cache_bytes:
         Budgets for the session-owned caches.  ``max_cache_entries`` bounds
         each memo cache (platforms, trees, reports, makespans, simulations,
@@ -136,7 +137,6 @@ class Session:
         backend: str | None = None,
         retry_policy: RetryPolicy | None = None,
         lp_cache: LPSolutionCache | None = None,
-        result_cache: ResultCache | None = None,
         max_cache_entries: int | None = None,
         max_cache_bytes: int | None = None,
     ) -> None:
@@ -174,15 +174,11 @@ class Session:
             if lp_cache is not None
             else LPSolutionCache(max_cache_entries, budget=self.cache_budget)
         )
-        self.results = (
-            result_cache
-            if result_cache is not None
-            else ResultCache(
-                cache_dir,
-                prefix="job",
-                version=__version__,
-                memory=bounded("result-rows"),
-            )
+        self.results = ResultCache(
+            cache_dir,
+            prefix="job",
+            version=__version__,
+            memory=bounded("result-rows"),
         )
         # Platform entries record the instance's mutation epoch at insert:
         # a platform mutated after registration is a miss, not a stale hit.
@@ -235,23 +231,23 @@ class Session:
         self,
         jobs: Iterable[Job],
         *,
-        materialize: bool = True,
         on_error: str = "raise",
         retry_policy: RetryPolicy | None = None,
     ) -> list[Result]:
         """Solve a batch of jobs, fanning out through the session executor.
 
-        Already-cached jobs are skipped; the remainder runs through
-        :class:`~repro.runtime.SerialExecutor` in-process or ships as JSON
-        to a :class:`~repro.runtime.ProcessExecutor` pool.  Either way the
-        metric payloads are bit-identical to sequential :meth:`solve` calls
-        (timing fields excepted) and end up in the session's result cache.
+        Already-cached jobs are skipped; the remainder runs in-process or,
+        on a warm-pool session, ships to the workers grouped by platform.
+        Either way the metric payloads are bit-identical to sequential
+        :meth:`solve` calls (timing fields excepted) and end up in the
+        session's result cache.  This is :meth:`solve_many_async` settled
+        at once.
 
         Tasks are supervised under the session's
         :class:`~repro.runtime.RetryPolicy`: transient failures (injected or
         organic) are retried with backoff, hung tasks are timed out, and a
-        crashed worker process is respawned once before the surviving items
-        fall back to in-process execution.
+        group whose worker crashed is resubmitted while the pool is healthy
+        before it falls back to in-process execution.
 
         ``on_error`` selects what a *permanent* failure does:
 
@@ -267,43 +263,9 @@ class Session:
         the solve service uses it to thread each request's remaining
         deadline into the per-task timeouts.
         """
-        if on_error not in ("raise", "collect"):
-            raise ConfigError(
-                f"on_error must be 'raise' or 'collect', got {on_error!r}"
-            )
-        policy = retry_policy if retry_policy is not None else self.retry_policy
-        batch = list(jobs)
-        results = [self.solve(job) for job in batch]
-        if not materialize:
-            return results
-        # Deduplicate by job identity: equal jobs share one payload, so one
-        # representative per cache key is enough (and worker processes must
-        # not each pay the full solve for the same description).
-        pending = []
-        dispatched: set[str] = set()
-        for i, result in enumerate(results):
-            if result.is_materialized():
-                continue
-            key = batch[i].cache_key()
-            if key in dispatched:
-                continue
-            dispatched.add(key)
-            pending.append(i)
-        failures: dict[str, TaskFailure] = {}
-        if pending:
-            if getattr(self.executor, "supervises_as_pool", False):
-                _WarmDispatch(self, batch, pending, on_error, policy).settle(
-                    failures
-                )
-            elif isinstance(self.executor, ProcessExecutor):
-                self._solve_pending_process(
-                    batch, pending, on_error, failures, policy
-                )
-            else:
-                self._solve_pending_inprocess(
-                    batch, results, pending, on_error, failures, policy
-                )
-        return self._finalize_many(batch, results, failures)
+        return self.solve_many_async(
+            jobs, on_error=on_error, retry_policy=retry_policy
+        ).result()
 
     def solve_many_async(
         self,
@@ -318,23 +280,38 @@ class Session:
         *now* and the returned :class:`PendingBatch` settles them on
         :meth:`PendingBatch.result` — which is how the solve service
         overlaps micro-batches with in-flight pool work.  On every other
-        executor the batch solves synchronously here and the handle is
-        already complete (same results, no concurrency).
+        executor the batch solves in-process here and the handle is
+        already done (same results, no concurrency).
         """
         if on_error not in ("raise", "collect"):
             raise ConfigError(
                 f"on_error must be 'raise' or 'collect', got {on_error!r}"
             )
-        if not getattr(self.executor, "supervises_as_pool", False):
-            return PendingBatch(
-                self, [], [], None,
-                final=self.solve_many(
-                    jobs, on_error=on_error, retry_policy=retry_policy
-                ),
-            )
         policy = retry_policy if retry_policy is not None else self.retry_policy
         batch = list(jobs)
         results = [self.solve(job) for job in batch]
+        pending = self._pending_indices(batch, results)
+        failures: dict[str, TaskFailure] = {}
+        dispatch = None
+        if pending:
+            if getattr(self.executor, "supervises_as_pool", False):
+                dispatch = _WarmDispatch(self, batch, pending, on_error, policy)
+            else:
+                self._solve_pending_inprocess(
+                    batch, results, pending, on_error, failures, policy
+                )
+        return PendingBatch(self, batch, results, dispatch, failures)
+
+    @staticmethod
+    def _pending_indices(
+        batch: "list[Job]", results: "list[Result]"
+    ) -> "list[int]":
+        """Positions still to compute, one representative per job identity.
+
+        Equal jobs share one payload, so one representative per cache key
+        is enough (and workers must not each pay the full solve for the
+        same description).
+        """
         pending = []
         dispatched: set[str] = set()
         for i, result in enumerate(results):
@@ -345,12 +322,7 @@ class Session:
                 continue
             dispatched.add(key)
             pending.append(i)
-        dispatch = (
-            _WarmDispatch(self, batch, pending, on_error, policy)
-            if pending
-            else None
-        )
-        return PendingBatch(self, batch, results, dispatch)
+        return pending
 
     def _finalize_many(
         self,
@@ -403,68 +375,6 @@ class Session:
                 outcome.raise_if_failed()
             failures[labels[outcome.index]] = outcome.failure
 
-    def _solve_pending_process(
-        self,
-        batch: "list[Job]",
-        pending: "list[int]",
-        on_error: str,
-        failures: "dict[str, TaskFailure]",
-        policy: RetryPolicy,
-    ) -> None:
-        """Materialize pending jobs through the process pool.
-
-        Worker processes cannot pickle closures over this session: the
-        jobs ship as JSON and the metric payloads merge back.  Jobs are
-        grouped by platform so the whole group lands in one worker and its
-        shared LP is solved exactly once — scattering them would re-solve
-        it once per worker.  Per-job supervision (retries, timeouts,
-        fault hooks) happens *inside* the worker's own session; the
-        group-level supervision here only has to absorb whole-group
-        hazards — a worker crash breaking the pool — so it runs without a
-        task timeout (a group is many tasks long) and without the per-task
-        fault hook.
-        """
-        groups: dict[str, list[int]] = {}
-        for i in pending:
-            groups.setdefault(batch[i].platform_key(), []).append(i)
-        ordered = list(groups.values())
-        tasks = [
-            {
-                "jobs": [batch[i].to_json() for i in group],
-                "policy": policy.to_dict(),
-                "on_error": on_error,
-            }
-            for group in ordered
-        ]
-        labels = [f"group:{batch[group[0]].platform_key()}" for group in ordered]
-        supervisor = SupervisedExecutor(
-            self.executor,
-            replace(policy, task_timeout=None),
-            fault_hook=False,
-        )
-        outcomes = supervisor.map_outcomes(
-            _solve_job_group_json, tasks, labels=labels
-        )
-        for outcome in outcomes:
-            group = ordered[outcome.index]
-            if not outcome.ok:
-                if on_error == "raise":
-                    outcome.raise_if_failed()
-                # The whole group is lost (e.g. the pool broke repeatedly):
-                # charge the group failure to each of its jobs.
-                for i in group:
-                    failures[batch[i].cache_key()] = outcome.failure
-                continue
-            for i, entry in zip(group, outcome.value):
-                if "error" in entry:
-                    failures[batch[i].cache_key()] = TaskFailure.from_dict(
-                        entry["error"]
-                    )
-                    continue
-                payload = self._payload(batch[i])
-                for name, value in entry["metrics"].items():
-                    payload.setdefault(name, value)
-
     #: Distinct message sizes published into shared memory per job group;
     #: sizes beyond the cap simply compile worker-locally (correctness is
     #: unaffected, the segments stay bounded).
@@ -477,9 +387,11 @@ class Session:
 
         Returns the shared-memory references to embed in the group task
         (segment name, array layout, scalar sidecar) plus the registry keys
-        the caller must release once the group settles.  Publication is an
-        optimization: any failure here returns empty refs and the workers
-        compile locally — bit-identical results either way.
+        the caller must release once the group settles; each segment is
+        pinned as it is published, so no concurrent publish can evict it
+        first.  Publication is an optimization: any failure here returns
+        empty refs and the workers compile locally — bit-identical results
+        either way.
         """
         registry = getattr(self.executor, "registry", None)
         if registry is None or not jobs:
@@ -498,8 +410,9 @@ class Session:
             for size in sizes:
                 compiled = platform.compiled(size)
                 key = (platform_key, compiled.size)
-                segment, layout = registry.publish(key, compiled.array_bundle())
-                registry.acquire(key)
+                segment, layout = registry.publish_pinned(
+                    key, compiled.array_bundle()
+                )
                 keys.append(key)
                 refs.append(
                     {
@@ -967,10 +880,10 @@ class Session:
     def close(self) -> None:
         """Release the executor (warm workers, shared segments); idempotent.
 
-        Serial and per-``map`` process executors hold nothing, so closing
-        is free there; a warm-pool session retires its workers and unlinks
-        every shared segment.  The session itself stays usable for solves
-        only insofar as its executor does — treat ``close()`` as final.
+        The serial executor holds nothing, so closing is free there; a
+        warm-pool session retires its workers and unlinks every shared
+        segment.  The session itself stays usable for solves only insofar
+        as its executor does — treat ``close()`` as final.
         """
         closer = getattr(self.executor, "close", None)
         if callable(closer):
@@ -1021,30 +934,21 @@ class _WarmDispatch:
         self.tasks: list[dict[str, Any]] = []
         self.shm_keys: list[list[Any]] = []
         self.futures: list[Any] = []
-        pool = session.executor
-        for platform_key, group in self.groups:
+        for position, (platform_key, group) in enumerate(self.groups):
             refs, keys = session._publish_group_platform(
                 platform_key, [batch[i] for i in group]
             )
-            task = {
-                "jobs": [batch[i].to_json() for i in group],
-                "policy": policy.to_dict(),
-                "on_error": on_error,
-                "platform_key": platform_key,
-                "shm": refs,
-            }
-            self.tasks.append(task)
-            self.shm_keys.append(keys)
-            # The per-job fault hook runs inside the worker's session;
-            # hooking the group label too would double-inject.
-            self.futures.append(
-                pool.submit(
-                    _solve_job_group_warm,
-                    task,
-                    label=f"group:{platform_key}",
-                    fault_hook=False,
-                )
+            self.tasks.append(
+                {
+                    "jobs": [batch[i].to_json() for i in group],
+                    "policy": policy.to_dict(),
+                    "on_error": on_error,
+                    "platform_key": platform_key,
+                    "shm": refs,
+                }
             )
+            self.shm_keys.append(keys)
+            self.futures.append(self._submit(position))
             session._worker_stats["groups_dispatched"] += 1
             session._worker_stats["jobs_shipped"] += len(group)
         self._settled = False
@@ -1053,72 +957,86 @@ class _WarmDispatch:
         """Whether every submitted group future has resolved (advisory)."""
         return self._settled or all(future.done() for future in self.futures)
 
+    def _submit(self, position: int) -> Any:
+        # The per-job fault hook runs inside the worker's session; hooking
+        # the group label too would double-inject.
+        return self.session.executor.submit(
+            _solve_job_group_warm,
+            self.tasks[position],
+            label=f"group:{self.groups[position][0]}",
+            fault_hook=False,
+        )
+
     def settle(self, failures: "dict[str, TaskFailure]") -> None:
-        """Wait for every group, supervising crashes; fold in the replies."""
+        """Wait for every group, supervising crashes; fold in the replies.
+
+        Every group's shared-memory pins are released on the way out, also
+        when a failing group raises before later groups are reached.
+        """
         if self._settled:
             return
         self._settled = True
+        try:
+            for position, (platform_key, group) in enumerate(self.groups):
+                self._settle_group(position, platform_key, group, failures)
+        finally:
+            registry = getattr(self.session.executor, "registry", None)
+            if registry is not None:
+                for keys in self.shm_keys:
+                    for key in keys:
+                        registry.release(key)
+
+    def _settle_group(
+        self,
+        position: int,
+        platform_key: str,
+        group: "list[int]",
+        failures: "dict[str, TaskFailure]",
+    ) -> None:
         pool = self.session.executor
         policy = self.policy
-        registry = getattr(pool, "registry", None)
-        for position, (platform_key, group) in enumerate(self.groups):
-            label = f"group:{platform_key}"
-            future = self.futures[position]
-            attempts = 0
-            value: dict[str, Any] | None = None
-            error: BaseException | None = None
+        label = f"group:{platform_key}"
+        future = self.futures[position]
+        attempts = 0
+        value: dict[str, Any] | None = None
+        error: BaseException | None = None
+        while True:
             try:
-                while True:
-                    try:
-                        value = future.result()
-                        break
-                    except WorkerCrashError as exc:
-                        attempts += 1
-                        error = exc
-                        if attempts <= policy.retries and pool.healthy:
-                            time.sleep(policy.delay(attempts - 1, label))
-                            future = pool.submit(
-                                _solve_job_group_warm,
-                                self.tasks[position],
-                                label=label,
-                                fault_hook=False,
-                            )
-                            continue
-                        # Pool exhausted: the group's last chance runs
-                        # in-process, sharing this process's warm session.
-                        try:
-                            value = _solve_job_group_warm(self.tasks[position])
-                            self.session._worker_stats["degraded_groups"] += 1
-                        except Exception as fallback_exc:
-                            attempts += 1
-                            error = fallback_exc
-                        break
-                    except Exception as exc:
-                        attempts += 1
-                        error = exc
-                        if attempts <= policy.retries:
-                            time.sleep(policy.delay(attempts - 1, label))
-                            future = pool.submit(
-                                _solve_job_group_warm,
-                                self.tasks[position],
-                                label=label,
-                                fault_hook=False,
-                            )
-                            continue
-                        break
-            finally:
-                if registry is not None:
-                    for key in self.shm_keys[position]:
-                        registry.release(key)
-            if value is None:
-                assert error is not None
-                if self.on_error == "raise":
-                    raise error
-                failure = TaskFailure.from_exception(label, error, max(attempts, 1))
-                for i in group:
-                    failures[self.batch[i].cache_key()] = failure
-                continue
-            self.session._merge_group_value(self.batch, group, value, failures)
+                value = future.result()
+                break
+            except WorkerCrashError as exc:
+                attempts += 1
+                error = exc
+                if attempts <= policy.retries and pool.healthy:
+                    time.sleep(policy.delay(attempts - 1, label))
+                    future = self._submit(position)
+                    continue
+                # Pool exhausted: the group's last chance runs in-process,
+                # sharing this process's warm session.
+                try:
+                    value = _solve_job_group_warm(self.tasks[position])
+                    self.session._worker_stats["degraded_groups"] += 1
+                except Exception as fallback_exc:
+                    attempts += 1
+                    error = fallback_exc
+                break
+            except Exception as exc:
+                attempts += 1
+                error = exc
+                if attempts <= policy.retries:
+                    time.sleep(policy.delay(attempts - 1, label))
+                    future = self._submit(position)
+                    continue
+                break
+        if value is None:
+            assert error is not None
+            if self.on_error == "raise":
+                raise error
+            failure = TaskFailure.from_exception(label, error, max(attempts, 1))
+            for i in group:
+                failures[self.batch[i].cache_key()] = failure
+            return
+        self.session._merge_group_value(self.batch, group, value, failures)
 
 
 class PendingBatch:
@@ -1126,7 +1044,9 @@ class PendingBatch:
 
     :meth:`result` settles the batch (waits for the pool, substitutes
     failures, persists successes) and memoizes the final result list;
-    :meth:`done` / :meth:`wait` observe progress without settling.
+    :meth:`done` / :meth:`wait` observe progress without settling.  A
+    batch with nothing in flight on the pool (every in-process batch) is
+    done from the start.
     """
 
     def __init__(
@@ -1135,24 +1055,22 @@ class PendingBatch:
         batch: "list[Job]",
         results: "list[Result]",
         dispatch: _WarmDispatch | None,
-        *,
-        final: "list[Result] | None" = None,
+        failures: "dict[str, TaskFailure]",
     ) -> None:
         self._session = session
         self._batch = batch
         self._results = results
         self._dispatch = dispatch
-        self._final = final
+        self._failures = failures
+        self._final: "list[Result] | None" = None
 
     def done(self) -> bool:
         """Whether the in-flight pool work has resolved (advisory)."""
-        if self._final is not None or self._dispatch is None:
-            return True
-        return self._dispatch.done()
+        return self._dispatch is None or self._dispatch.done()
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block up to ``timeout`` seconds for the pool work; return :meth:`done`."""
-        if self._final is not None or self._dispatch is None:
+        if self._dispatch is None:
             return True
         from concurrent.futures import wait as _wait
 
@@ -1162,74 +1080,25 @@ class PendingBatch:
     def result(self) -> "list[Result]":
         """The settled result list (same contract as :meth:`Session.solve_many`)."""
         if self._final is None:
-            failures: dict[str, TaskFailure] = {}
             if self._dispatch is not None:
-                self._dispatch.settle(failures)
+                self._dispatch.settle(self._failures)
             self._final = self._session._finalize_many(
-                self._batch, self._results, failures
+                self._batch, self._results, self._failures
             )
         return self._final
 
 
 # --------------------------------------------------------------------------- #
-# Process-pool plumbing and the default session
+# Worker entry point and the default session
 # --------------------------------------------------------------------------- #
-#: Bounds of a worker's session: few platforms / few jobs get full cache
-#: sharing across group tasks, while a huge heterogeneous sweep cannot grow
-#: the worker's memory without limit (sessions pin platforms, LP solutions,
-#: trees, simulations and metric payloads alive).
-_WORKER_PLATFORM_LIMIT = 64
-_WORKER_JOB_LIMIT = 4096
-
-
-def _solve_job_group_json(task: dict[str, Any]) -> list[dict[str, Any]]:
-    """Materialize one platform's JSON-shipped jobs; picklable for pools.
-
-    ``task`` carries the job JSON texts plus the parent session's retry
-    policy and ``on_error`` mode, so per-job supervision (retries,
-    timeouts, deterministic fault hooks keyed on the job cache keys) runs
-    *inside* the worker exactly as it would in-process.  Returns one entry
-    per job: ``{"metrics": ...}`` on success, ``{"error": ...}`` (a
-    serialized :class:`~repro.runtime.TaskFailure`) when the job failed
-    under ``on_error="collect"``.
-
-    Runs in the worker's process-wide default session, shared across group
-    tasks (and with anything else that process solves).
-    """
-    session = default_session()
-    if (
-        len(session._platforms) >= _WORKER_PLATFORM_LIMIT
-        or len(session._payloads) >= _WORKER_JOB_LIMIT
-    ):
-        session.clear()
-    previous_policy = session.retry_policy
-    session.retry_policy = RetryPolicy.from_dict(task.get("policy", {}))
-    try:
-        # solve_many (not a solve() loop) so the worker's group also flows
-        # through the ensemble-batched kernel sweep.
-        results = session.solve_many(
-            [Job.from_json(text) for text in task["jobs"]],
-            on_error=task.get("on_error", "raise"),
-        )
-    finally:
-        session.retry_policy = previous_policy
-    return [
-        {"metrics": result.metrics()}
-        if result.ok
-        else {"error": result.error.to_dict()}
-        for result in results
-    ]
-
-
 _WARM_SESSION: Session | None = None
 
 
 def _warm_worker_session() -> Session:
     """The warm worker's process-lifetime session (entry-bounded caches).
 
-    Warm workers live across many group submissions, so their session must
-    self-evict (LRU) instead of relying on the per-batch ``clear()`` cliff
-    the per-``map`` worker path uses.
+    Warm workers live across many group submissions, so their session
+    self-evicts (LRU) to keep the worker's memory bounded.
     """
     global _WARM_SESSION
     if _WARM_SESSION is None:
@@ -1238,18 +1107,26 @@ def _warm_worker_session() -> Session:
 
 
 def _solve_job_group_warm(task: dict[str, Any]) -> dict[str, Any]:
-    """Warm-pool variant of :func:`_solve_job_group_json`.
+    """Materialize one platform's jobs in a warm worker; picklable for pools.
 
-    Same contract — materialize one platform's jobs under the shipped
-    policy and ``on_error`` mode — plus the warm-pool extras: the solve
-    runs on the worker's *persistent* session (platforms, compiled views,
-    LP solutions and trees survive across submissions), shared-memory
-    platform arrays from ``task["shm"]`` are attached as read-only views
-    and installed into the platform's compiled cache before the solve
-    (any attach failure degrades to local compilation — results are
-    bit-identical either way), and the reply carries a ``worker`` rider
-    (pid, warm-platform reuse, attach count) for the parent's
-    ``cache_stats()['workers']`` block.
+    ``task`` carries the job JSON texts plus the parent session's retry
+    policy and ``on_error`` mode, so per-job supervision (retries,
+    timeouts, deterministic fault hooks keyed on the job cache keys) runs
+    *inside* the worker exactly as it would in-process.  Each reply entry
+    is ``{"metrics": ...}`` on success or ``{"error": ...}`` (a serialized
+    :class:`~repro.runtime.TaskFailure`) when the job failed under
+    ``on_error="collect"``.
+
+    The solve runs on the worker's *persistent* session (platforms,
+    compiled views, LP solutions and trees survive across submissions),
+    and goes through ``solve_many`` so the group also flows through the
+    ensemble-batched kernel sweep.  Shared-memory platform arrays from
+    ``task["shm"]`` are attached as read-only views and installed into the
+    platform's compiled cache before the solve (any attach failure
+    degrades to local compilation — results are bit-identical either
+    way), and the reply carries a ``worker`` rider (pid, warm-platform
+    reuse, attach count) for the parent's ``cache_stats()['workers']``
+    block.
     """
     session = _warm_worker_session()
     jobs = [Job.from_json(text) for text in task["jobs"]]

@@ -495,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--backend",
-        choices=("serial", "process", "warm-pool"),
+        choices=("serial", "warm-pool"),
         default=None,
         help="force a session executor backend instead of the --jobs auto-choice",
     )

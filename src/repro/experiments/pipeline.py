@@ -13,9 +13,9 @@ shape into an explicit pipeline on top of the shared infrastructure of
    :func:`repro.utils.rng.derive_seed`), so evaluation order — and therefore
    parallelism — cannot change the results.
 2. **Executors** — the order-preserving
-   :class:`~repro.runtime.SerialExecutor` /
-   :class:`~repro.runtime.ProcessExecutor` map shared with
-   :class:`~repro.api.Session`.
+   :class:`~repro.runtime.SerialExecutor` or the warm worker pool
+   (:class:`~repro.pool.WarmPoolExecutor`), the same two backends
+   :class:`~repro.api.Session` uses.
 3. **Cache** — :class:`ResultCache` specialises the two-level store of
    :mod:`repro.runtime` to :class:`EvaluationRecord` rows, keyed by a
    stable hash of the experiment parameters *and the library version*;
@@ -25,8 +25,8 @@ shape into an explicit pipeline on top of the shared infrastructure of
 Each task runs as a list of declarative :class:`~repro.api.Job` solved
 through a :class:`~repro.api.Session`, so the ensemble path and one-off
 facade solves share the same code and the same LP-reuse behaviour.
-Worker processes solve one task per call (:func:`run_ensemble_task`,
-whose job groups are batched again inside the worker); the in-process
+Pool workers solve one task per call (:func:`run_ensemble_task`, whose
+job list is batched again inside the worker); the in-process
 serial path instead shares one session across a *chunk* of tasks
 (:func:`run_ensemble_tasks_batched`), handing
 :meth:`Session.solve_many <repro.api.Session.solve_many>` the chunk's
@@ -55,7 +55,6 @@ from ..api import Job, PlatformRecipe, Session
 from ..collectives import CollectiveSpec
 from ..exceptions import ExperimentError
 from ..runtime import (
-    ProcessExecutor,
     ResultCache as _GenericResultCache,
     RetryPolicy,
     SerialExecutor,
@@ -70,8 +69,6 @@ from .config import PaperParameters
 from .evaluation import (
     EvaluationRecord,
     broadcast_jobs,
-    evaluate_collective_platform,
-    evaluate_platform,
     record_from_result,
 )
 
@@ -84,7 +81,6 @@ __all__ = [
     "tiers_ensemble_tasks",
     "collective_ensemble_tasks",
     "SerialExecutor",
-    "ProcessExecutor",
     "ResultCache",
     "EvaluationPipeline",
     "INTERRUPT_MANIFEST",
@@ -290,33 +286,19 @@ def run_ensemble_task(
 
     Every task gets a fresh :class:`~repro.api.Session` (its platform and
     seed are unique to the task, so there is nothing to share across
-    tasks) and runs its jobs through the facade: the per-platform LP is
-    solved once and shared by every heuristic and by the relative
-    performance reference.  ``retry_policy`` propagates the pipeline's
-    policy to the session's own per-job supervision.
+    tasks) and runs its :func:`_task_jobs` through the facade: the
+    per-platform LP is solved once and shared by every heuristic and by
+    the relative performance reference.  ``retry_policy`` propagates the
+    pipeline's policy to the session's own per-job supervision.
     """
     session = Session(retry_policy=retry_policy)
-    if task.kind == "collective":
-        return evaluate_collective_platform(
-            task.platform_recipe(),
-            task.source,
-            collective=task.collective,
-            num_targets=task.num_targets,
-            instance_index=task.instance_index,
-            session=session,
+    results = session.solve_many(_task_jobs(task, session))
+    return [
+        record_from_result(
+            result, generator=task.kind, instance_index=task.instance_index
         )
-    if task.kind not in ("random", "tiers"):
-        raise ExperimentError(f"unknown ensemble task kind {task.kind!r}")
-    evaluation = evaluate_platform(
-        task.platform_recipe(),
-        task.source,
-        generator=task.kind,
-        instance_index=task.instance_index,
-        send_fraction=task.send_fraction,
-        include_multi_port=task.include_multi_port,
-        session=session,
-    )
-    return evaluation.records
+        for result in results
+    ]
 
 
 #: Tasks per shared-session chunk on the in-process path.  Bounds the
@@ -329,10 +311,14 @@ _BATCH_CHUNK_TASKS = 32
 def _task_jobs(task: EnsembleTask, session: Session) -> list[Job]:
     """The declarative job list of one task.
 
-    Mirrors exactly what :func:`run_ensemble_task` submits through
-    :func:`~repro.experiments.evaluation.evaluate_platform` /
-    :func:`~repro.experiments.evaluation.evaluate_collective_platform`, so
-    the chunked path below solves the same jobs in the same order.
+    Broadcast tasks get :func:`~repro.experiments.evaluation.broadcast_jobs`
+    (the jobs of :func:`~repro.experiments.evaluation.evaluate_platform`);
+    a collective task is one grow-tree job whose target set is the first
+    ``num_targets`` non-source nodes in platform order, so the sets of a
+    sweep are *nested*: the LP optimum is provably non-increasing in
+    ``num_targets`` for each kind, which the shape check of the
+    ``collective`` artefact asserts.  :func:`run_ensemble_task` and the
+    chunked path below both solve exactly this list, in this order.
     """
     recipe = task.platform_recipe()
     if task.kind == "collective":
@@ -494,9 +480,9 @@ class EvaluationPipeline:
         shared memory — falling back to the batched serial path (with a
         :class:`RuntimeWarning`) on single-CPU hosts.
     backend:
-        Executor backend name (``"serial"``, ``"process"``,
-        ``"warm-pool"``; see :func:`~repro.runtime.available_backends`)
-        to force instead of the automatic ``jobs``-based choice.
+        Executor backend name (``"serial"`` or ``"warm-pool"``; see
+        :func:`~repro.runtime.make_executor`) to force instead of the
+        automatic ``jobs``-based choice.
         Mutually exclusive with ``executor``.
     cache_dir:
         Optional directory for the on-disk result cache.

@@ -68,9 +68,9 @@ def in_pool_worker() -> bool:
     """Whether this process is a pool worker (has a multiprocessing parent).
 
     Crash faults are only allowed to genuinely kill the process here: a
-    dead worker is a recoverable event for the supervisor (both the
-    per-``map`` process pool and the warm pool respawn it), while killing
-    the main process would take the whole campaign down.
+    dead worker is a recoverable event for the supervisor (the warm pool
+    respawns it), while killing the main process would take the whole
+    campaign down.
     """
     return multiprocessing.parent_process() is not None
 
@@ -83,7 +83,8 @@ class InjectedCrashError(InjectedFault):
     """An in-process stand-in for a worker crash.
 
     Crash faults kill the process with :func:`os._exit` only inside pool
-    workers (so the pool breaks, exercising respawn and serial fallback);
+    workers (so the worker dies, exercising respawn and in-process
+    fallback);
     in the supervising process they downgrade to this exception — a hard
     exit there would take the whole campaign down, which is exactly what
     the fault-tolerant runtime exists to prevent.

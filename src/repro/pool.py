@@ -1,11 +1,10 @@
 """Persistent warm worker pool: long-lived processes with warm sessions.
 
-:class:`~repro.runtime.ProcessExecutor` spins up a fresh
-``ProcessPoolExecutor`` per ``map`` call, so every batch pays worker
-start-up *and* re-primes every worker-local cache (platforms, compiled CSR
-views, LP solutions) from nothing — which is how ``BENCH_pipeline.json``
-ended up recording a parallel *slow-down*.  :class:`WarmPoolExecutor` is
-the pluggable backend that fixes this (ROADMAP item 3):
+A fresh process pool per batch pays worker start-up *and* re-primes every
+worker-local cache (platforms, compiled CSR views, LP solutions) from
+nothing.  :class:`WarmPoolExecutor` — the ``"warm-pool"`` backend of
+:func:`~repro.runtime.make_executor` and the library's only
+multi-process executor — keeps both warm:
 
 * **Long-lived workers.**  ``jobs`` worker processes are spawned lazily
   and survive across ``map``/``submit`` calls.  A worker's module globals
@@ -47,7 +46,7 @@ from concurrent.futures import Future
 from typing import Any, Callable, Iterator, Sequence
 
 from .exceptions import ExperimentError, WorkerCrashError
-from .runtime import FAULT_PLAN_ENV, _run_attempt, register_backend
+from .runtime import FAULT_PLAN_ENV, _run_attempt
 from .shm import SharedSegmentRegistry
 
 __all__ = ["WarmPoolExecutor"]
@@ -455,5 +454,3 @@ class WarmPoolExecutor:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-
-register_backend("warm-pool", lambda jobs: WarmPoolExecutor(jobs))

@@ -7,17 +7,18 @@ pipeline (PR 1) in a dependency-free home so that both
 without importing each other:
 
 * **Executors** — :class:`SerialExecutor` maps a function over work items
-  in-process; :class:`ProcessExecutor` fans the same map out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  Both preserve item
+  in-process; :func:`make_executor` builds it or the warm worker pool
+  (:class:`~repro.pool.WarmPoolExecutor`) by name.  Both preserve item
   order, so the result stream is identical whichever executor runs it.
 * **Supervision** — :class:`SupervisedExecutor` wraps either executor with
-  per-task timeouts, bounded retries (exponential backoff, deterministic
-  jitter — see :class:`RetryPolicy`) and broken-pool recovery: a crashed
-  worker pool is respawned once, and if it breaks again the surviving
-  items fall back to in-process execution, with the order and results of
-  already-finished items unchanged.  :meth:`SupervisedExecutor.map_outcomes`
-  turns permanent failures into structured :class:`TaskFailure` records
-  instead of exceptions, which is what ``--keep-going`` campaigns consume.
+  per-task timeouts and bounded retries (exponential backoff,
+  deterministic jitter — see :class:`RetryPolicy`).  Over the pool a
+  crashed worker's task is resubmitted while the pool stays healthy, and
+  otherwise finishes its attempts in-process, with the order and results
+  of already-finished items unchanged.
+  :meth:`SupervisedExecutor.map_outcomes` turns permanent failures into
+  structured :class:`TaskFailure` records instead of exceptions, which is
+  what ``--keep-going`` campaigns consume.
 * **BoundedCache / ByteBudget** — thread-safe LRU mappings with entry and
   byte budgets plus hit/miss/eviction counters, the primitive behind every
   long-lived cache in the library (the session memos, the LP solution
@@ -57,9 +58,7 @@ import threading
 import time
 import warnings
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol, Sequence, TypeVar
@@ -73,12 +72,8 @@ from .exceptions import (
 
 __all__ = [
     "TaskExecutor",
-    "ExecutorBackend",
     "SerialExecutor",
-    "ProcessExecutor",
     "SupervisedExecutor",
-    "register_backend",
-    "available_backends",
     "make_executor",
     "RetryPolicy",
     "TaskFailure",
@@ -192,94 +187,7 @@ class SerialExecutor:
         return (function(task) for task in tasks)
 
     def close(self) -> None:
-        """Nothing to release (backend-protocol symmetry)."""
-
-
-class ProcessExecutor:
-    """Fan work items out over a process pool, preserving item order.
-
-    ``function`` and the items must be picklable (module-level functions,
-    plain data); the facade ships jobs as JSON strings for this reason.
-    """
-
-    name = "process"
-
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-
-    def close(self) -> None:
-        """Nothing persistent to release: each ``map`` owns its pool."""
-
-    def map(
-        self,
-        function: Callable[[ItemT], ResultT],
-        tasks: Sequence[ItemT],
-    ) -> Iterator[ResultT]:
-        if not tasks:
-            return iter(())
-        # Modest chunks amortise pickling without starving short queues.
-        chunksize = max(1, len(tasks) // (self.jobs * 8))
-
-        def stream() -> Iterator[ResultT]:
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                yield from pool.map(function, tasks, chunksize=chunksize)
-
-        return stream()
-
-
-# --------------------------------------------------------------------------- #
-# Pluggable backends
-# --------------------------------------------------------------------------- #
-class ExecutorBackend(Protocol):
-    """What :func:`make_executor` produces: an executor with a lifecycle.
-
-    Every :class:`TaskExecutor` qualifies once it carries a ``name`` and
-    (possibly no-op) ``close``; backends that also expose the pool surface
-    (``submit`` / ``abandon`` / ``healthy`` plus a true
-    ``supervises_as_pool`` attribute) get per-future supervision from
-    :class:`SupervisedExecutor` instead of the in-process fallback.
-    """
-
-    name: str
-    jobs: int
-
-    def map(
-        self,
-        function: Callable[[ItemT], ResultT],
-        tasks: Sequence[ItemT],
-    ) -> Iterable[ResultT]: ...
-
-    def close(self) -> None: ...
-
-
-_BACKEND_FACTORIES: dict[str, Callable[[int], Any]] = {}
-
-
-def register_backend(name: str, factory: Callable[[int], Any]) -> None:
-    """Register an executor ``factory`` (``jobs -> executor``) under ``name``.
-
-    Later registrations replace earlier ones, so embedders can override the
-    built-ins (``serial`` / ``process`` / ``warm-pool``).
-    """
-    _BACKEND_FACTORIES[str(name)] = factory
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names (the warm pool registers on first use)."""
-    _load_pool_backend()
-    return tuple(sorted(_BACKEND_FACTORIES))
-
-
-def _load_pool_backend() -> None:
-    """Import :mod:`repro.pool` on demand (it registers ``warm-pool``).
-
-    The import is deferred because :mod:`repro.pool` builds on this module;
-    a top-level import here would be a cycle.
-    """
-    if "warm-pool" not in _BACKEND_FACTORIES:
-        from . import pool  # noqa: F401  (import registers the backend)
+        """Nothing to release (same lifecycle as the warm pool)."""
 
 
 def make_executor(
@@ -290,8 +198,11 @@ def make_executor(
 ) -> Any:
     """Build the executor for ``jobs``-way parallelism.
 
-    With ``backend=None`` (the default used by ``Session(jobs=...)`` and
-    the pipeline) the choice is automatic: ``jobs == 1`` runs the batched
+    Two backends exist: ``"serial"`` (:class:`SerialExecutor`) and
+    ``"warm-pool"`` (:class:`~repro.pool.WarmPoolExecutor`, imported on
+    demand because :mod:`repro.pool` builds on this module).  With
+    ``backend=None`` (the default used by ``Session(jobs=...)`` and the
+    pipeline) the choice is automatic: ``jobs == 1`` runs the batched
     serial path, ``jobs > 1`` the warm worker pool — except on single-CPU
     hosts, where a process pool is pure overhead, so the call warns once
     and falls back to the serial path instead of silently running slower
@@ -314,19 +225,15 @@ def make_executor(
             )
             return SerialExecutor()
         backend = "warm-pool"
+    if backend == "serial":
+        return SerialExecutor()
     if backend == "warm-pool":
-        _load_pool_backend()
-    factory = _BACKEND_FACTORIES.get(backend)
-    if factory is None:
-        known = ", ".join(sorted(_BACKEND_FACTORIES)) or "none"
-        raise ExperimentError(
-            f"unknown executor backend {backend!r} (registered: {known})"
-        )
-    return factory(jobs)
+        from .pool import WarmPoolExecutor
 
-
-register_backend("serial", lambda jobs: SerialExecutor())
-register_backend("process", lambda jobs: ProcessExecutor(jobs))
+        return WarmPoolExecutor(jobs)
+    raise ExperimentError(
+        f"unknown executor backend {backend!r} (known: serial, warm-pool)"
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -343,8 +250,8 @@ class RetryPolicy:
         to three attempts).  ``0`` disables retrying.
     task_timeout:
         Per-attempt wall-clock budget in seconds; ``None`` disables the
-        timeout.  Process pools enforce it on the supervisor's wait for the
-        task future; in-process execution runs the attempt on a watchdog
+        timeout.  The worker pool enforces it on the supervisor's wait for
+        the task future; in-process execution runs the attempt on a watchdog
         thread (the timed-out attempt is abandoned, not interrupted, so
         supervised functions should be pure).
     backoff / backoff_factor / max_delay:
@@ -459,8 +366,8 @@ class TaskFailure:
 class TaskOutcome:
     """What happened to one supervised task: a value or a failure record.
 
-    ``exception`` carries the original exception object when the failure
-    happened in this process (process-pool failures only have the record).
+    ``exception`` carries the original exception object (for pool failures,
+    the one the worker sent back or the :class:`WorkerCrashError`).
     """
 
     index: int
@@ -540,17 +447,6 @@ def _run_attempt(
     return _call_with_timeout(attempt_call, task, timeout)
 
 
-def _remote_attempt(payload: tuple) -> Any:
-    """Worker-side attempt runner; module-level so pools can pickle it.
-
-    The per-attempt timeout is enforced by the supervisor's wait on the
-    future, not here; the fault hook *does* run here so crash faults hit
-    the worker process (breaking the pool), not the supervisor.
-    """
-    function, task, label, attempt, fault_hook = payload
-    return _run_attempt(function, task, label, attempt, None, fault_hook)
-
-
 class SupervisedExecutor:
     """Failure-isolating wrapper around any :class:`TaskExecutor`.
 
@@ -562,10 +458,10 @@ class SupervisedExecutor:
     :class:`TaskFailure` record, which is what ``--keep-going`` campaigns
     and ``solve_many(on_error="collect")`` consume.
 
-    Process pools additionally get broken-pool recovery: the pool is
-    respawned once after a worker crash, and a second crash degrades the
-    remaining items to in-process execution — finished items keep their
-    order and values either way.
+    The warm pool additionally gets crash recovery: a crashed worker's task
+    is resubmitted while the pool is healthy, and otherwise finishes its
+    attempts in-process — finished items keep their order and values
+    either way.
 
     ``labels`` name tasks in failure records and seed the deterministic
     retry jitter (and the fault-injection harness); they default to the
@@ -625,13 +521,6 @@ class SupervisedExecutor:
         # retries instead of degrading in-process on the first hiccup.
         if getattr(self.inner, "supervises_as_pool", False):
             return self._pool_outcomes(function, items, names)
-        # Exact type, not isinstance: pool-level supervision replaces the
-        # executor's own map() with per-future waits, which would silently
-        # bypass the overridden behavior of ProcessExecutor *subclasses*
-        # (recording doubles, instrumented pools).  Those keep their own
-        # code path and get in-process supervision semantics instead.
-        if type(self.inner) is ProcessExecutor:
-            return self._process_outcomes(function, items, names)
         return self._inprocess_outcomes(function, items, names)
 
     # ------------------------------------------------------------------ #
@@ -717,11 +606,11 @@ class SupervisedExecutor:
         All tasks are submitted upfront (the pool keeps its workers busy);
         outcomes are consumed in task order.  A crashed worker charges the
         crash to its task and the task is *resubmitted to the pool* while
-        attempts and pool health allow — unlike the per-``map`` process
-        pool there is no whole-pool respawn, because slots respawn
-        individually inside the pool.  Timeouts put the hung worker down
-        via ``abandon`` (freeing the slot) and finish the task's remaining
-        attempts in-process, exactly like :meth:`_process_outcomes`.
+        attempts and pool health allow; slots respawn individually inside
+        the pool.  Timeouts put the hung worker down via ``abandon``
+        (freeing the slot) and finish the task's remaining attempts
+        in-process — a retry resubmitted behind busy workers would have its
+        queue *wait*, not its work, counted against the timeout.
         """
         policy = self.policy
         pool = self.inner
@@ -784,115 +673,6 @@ class SupervisedExecutor:
                         exception=error,
                     )
                 break
-
-    def _process_outcomes(
-        self,
-        function: Callable[[Any], Any],
-        tasks: list[Any],
-        labels: list[str],
-    ) -> Iterator[TaskOutcome]:
-        policy = self.policy
-        total = len(tasks)
-        attempts = [0] * total
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
-        respawns_left = 1
-        serial = False
-        futures: dict[int, Any] = {}
-
-        def submit(index: int) -> None:
-            futures[index] = pool.submit(
-                _remote_attempt,
-                (function, tasks[index], labels[index], attempts[index],
-                 self._fault_hook),
-            )
-
-        try:
-            for index in range(total):
-                submit(index)
-            for index in range(total):
-                if serial:
-                    # The pool is gone: surviving items run in-process with
-                    # whatever attempt budget they have left.
-                    yield self._attempt_loop(
-                        index, function, tasks[index], labels[index],
-                        attempts[index], None,
-                    )
-                    continue
-                while True:
-                    try:
-                        value = futures[index].result(timeout=policy.task_timeout)
-                        yield TaskOutcome(index, value=value)
-                        break
-                    except _FuturesTimeout:
-                        attempts[index] += 1
-                        error: BaseException = TaskTimeoutError(
-                            f"supervised task {labels[index]!r} exceeded its "
-                            f"{policy.task_timeout:.3g}s timeout "
-                            f"(attempt {attempts[index]})"
-                        )
-                        # Best effort; a *running* attempt cannot be
-                        # cancelled and its eventual result is discarded.
-                        futures[index].cancel()
-                    except BrokenProcessPool:
-                        attempts[index] += 1
-                        error = WorkerCrashError(
-                            f"worker process died while running task "
-                            f"{labels[index]!r}"
-                        )
-                        if respawns_left > 0:
-                            respawns_left -= 1
-                            pool.shutdown(wait=False)
-                            pool = ProcessPoolExecutor(max_workers=self.jobs)
-                            # Every unconsumed future died with the pool;
-                            # the crash is charged to this task only, the
-                            # rest get fresh submissions at their current
-                            # attempt count.
-                            if attempts[index] <= policy.retries:
-                                time.sleep(
-                                    policy.delay(attempts[index] - 1, labels[index])
-                                )
-                                for later in range(index, total):
-                                    submit(later)
-                                continue
-                            for later in range(index + 1, total):
-                                submit(later)
-                            yield TaskOutcome(
-                                index,
-                                failure=TaskFailure.from_exception(
-                                    labels[index], error, attempts[index]
-                                ),
-                                exception=error,
-                            )
-                        else:
-                            serial = True
-                            yield self._attempt_loop(
-                                index, function, tasks[index], labels[index],
-                                attempts[index], error,
-                            )
-                        break
-                    except Exception as exc:
-                        attempts[index] += 1
-                        error = exc
-                    # Timeout or organic failure: the remaining attempts run
-                    # in-process while the pool keeps draining later tasks —
-                    # a retry resubmitted behind busy workers would have its
-                    # queue *wait*, not its work, counted against the timeout.
-                    if attempts[index] <= policy.retries:
-                        yield self._attempt_loop(
-                            index, function, tasks[index], labels[index],
-                            attempts[index], error,
-                        )
-                    else:
-                        yield TaskOutcome(
-                            index,
-                            failure=TaskFailure.from_exception(
-                                labels[index], error, attempts[index]
-                            ),
-                            exception=error,
-                        )
-                    break
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
 
 
 # --------------------------------------------------------------------------- #

@@ -474,6 +474,10 @@ class SolveService:
 def _make_handler(app: ServiceApp) -> type[BaseHTTPRequestHandler]:
     class _Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Headers and body go out as two writes; with Nagle on, the body
+        # waits for the client's delayed ACK (~40 ms) on every keep-alive
+        # reply.
+        disable_nagle_algorithm = True
         server_version = "repro-solve"
 
         def log_message(self, *args: Any) -> None:  # pragma: no cover

@@ -215,9 +215,11 @@ class SharedSegmentRegistry:
 
     ``publish(key, arrays)`` packs the arrays once per ``key`` and returns
     the segment name plus layout for the task payload; repeat publications
-    of the same key are hits.  ``acquire``/``release`` refcount in-flight
-    uses, so the LRU eviction (past ``max_segments``) never unlinks a
-    segment a queued task still references.  :meth:`close` unlinks every
+    of the same key are hits.  :meth:`publish_pinned` / :meth:`release`
+    refcount in-flight uses, so the LRU eviction (past ``max_segments``)
+    never unlinks a segment a queued task still references; the pin is
+    taken in the same locked step as the publish, so no concurrent publish
+    can evict the segment in between.  :meth:`close` unlinks every
     owned segment; a ``weakref.finalize`` hook runs the same cleanup when
     the registry is garbage-collected or the interpreter exits, which is
     what keeps ``/dev/shm`` clean on the crash path — workers (attachers)
@@ -228,7 +230,8 @@ class SharedSegmentRegistry:
         if max_segments < 1:
             raise ExperimentError(f"max_segments must be >= 1, got {max_segments}")
         self.max_segments = max_segments
-        self._lock = threading.Lock()
+        # Re-entrant: publish_pinned holds it across its call to publish.
+        self._lock = threading.RLock()
         # key -> [segment, layout, refcount]; insertion order is LRU order.
         self._entries: "OrderedDict[Hashable, list[Any]]" = OrderedDict()
         self._closed = False
@@ -245,7 +248,9 @@ class SharedSegmentRegistry:
 
         Packs on first sight of the key, then serves the memoized segment;
         arrays are assumed immutable for a given key (platform keys embed
-        the mutation-epoch-stable canonical payload, so this holds).
+        the mutation-epoch-stable canonical payload, so this holds).  The
+        returned segment is never the one this call evicts, even when
+        every other entry is pinned.
         """
         with self._lock:
             if self._closed:
@@ -258,15 +263,21 @@ class SharedSegmentRegistry:
             segment, layout = pack_arrays(arrays)
             self._entries[key] = [segment, layout, 0]
             self.published += 1
-            self._evict_idle()
+            self._evict_idle(keep=key)
             return segment.name, layout
 
-    def acquire(self, key: Hashable) -> None:
-        """Pin ``key``'s segment while a task referencing it is in flight."""
+    def publish_pinned(
+        self, key: Hashable, arrays: Mapping[str, np.ndarray]
+    ) -> tuple[str, dict[str, Any]]:
+        """:meth:`publish` and pin the segment, as one locked step.
+
+        The caller owns one pin and must :meth:`release` it once the task
+        referencing the segment has settled.
+        """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                entry[2] += 1
+            name, layout = self.publish(key, arrays)
+            self._entries[key][2] += 1
+            return name, layout
 
     def release(self, key: Hashable) -> None:
         """Drop one pin (no-op for unknown / already-evicted keys)."""
@@ -275,11 +286,16 @@ class SharedSegmentRegistry:
             if entry is not None and entry[2] > 0:
                 entry[2] -= 1
 
-    def _evict_idle(self) -> None:
-        """LRU-evict unpinned segments past the bound (lock held)."""
+    def _evict_idle(self, keep: Hashable) -> None:
+        """LRU-evict unpinned segments other than ``keep`` past the bound."""
         while len(self._entries) > self.max_segments:
             victim = next(
-                (k for k, e in self._entries.items() if e[2] == 0), None
+                (
+                    k
+                    for k, e in self._entries.items()
+                    if e[2] == 0 and k != keep
+                ),
+                None,
             )
             if victim is None:
                 return  # everything is pinned; stay over the bound for now
@@ -311,6 +327,7 @@ class SharedSegmentRegistry:
                 "published": self.published,
                 "hits": self.hits,
                 "evictions": self.evictions,
+                "pinned": sum(e[2] for e in self._entries.values()),
             }
 
     def close(self) -> None:

@@ -210,29 +210,17 @@ class TestSession:
 
     def test_process_dispatch_groups_jobs_by_platform(self):
         """One platform's jobs ship as one task: its LP solves in one worker."""
-        from repro.runtime import ProcessExecutor
-
-        class RecordingPool(ProcessExecutor):
-            def __init__(self):
-                super().__init__(2)
-                self.tasks = []
-
-            def map(self, function, tasks):
-                # Supervision wraps tasks as (index, payload) pairs; the
-                # payload dict carries each group's jobs plus the policy.
-                self.tasks.append([len(payload["jobs"]) for _, payload in tasks])
-                return [function(task) for task in tasks]
-
-        pool = RecordingPool()
-        session = Session(executor=pool)
         other = PlatformRecipe.of("random", num_nodes=8, density=0.4, seed=5)
         jobs = [
             Job.broadcast(recipe, heuristic=name)
             for recipe in (RECIPE, other)
             for name in ("grow-tree", "binomial")
         ]
-        results = session.solve_many(jobs)
-        assert pool.tasks == [[2, 2]]
+        with Session(jobs=2, backend="warm-pool") as session:
+            results = session.solve_many(jobs)
+            workers = session.cache_stats()["workers"]
+        assert workers["groups_dispatched"] == 2
+        assert workers["jobs_shipped"] == 4
         assert all(r.is_materialized() for r in results)
         session = Session()
         a = session.solve(Job.broadcast(RECIPE))

@@ -43,7 +43,6 @@ from repro.exceptions import (
 )
 from repro.experiments import (
     EvaluationPipeline,
-    ProcessExecutor,
     ResultCache,
     SerialExecutor,
     ensemble_task_key,
@@ -620,22 +619,25 @@ class TestCampaignOverProcessPool:
         )
         per_task = [baseline_pipe.cache.get(key) for key in task_keys]
 
-        pipe = EvaluationPipeline(
-            executor=ProcessExecutor(2),
+        with EvaluationPipeline(
+            jobs=2,
+            backend="warm-pool",
             cache=ResultCache(tmp_path / "campaign"),
             keep_going=True,
             retry_policy=RetryPolicy(retries=0, backoff=0.001),
-        )
-        with inject_faults(plan):
-            survivors = pipe.evaluate("random", parameters, include_multi_port=False)
+        ) as pipe:
+            with inject_faults(plan):
+                survivors = pipe.evaluate(
+                    "random", parameters, include_multi_port=False
+                )
 
         assert len(pipe.failures) == len(predicted)
         assert {ensemble_task_key(r.task) for r in pipe.failures} == {
             task_keys[i] for i in predicted
         }
-        # Crashes surface as the pool break (WorkerCrashError) or, after
-        # the pool has degraded to in-process execution, as the downgraded
-        # InjectedCrashError — both structured, both accounted.
+        # Crashes surface as the dead worker (WorkerCrashError) or, once
+        # the task runs in-process, as the downgraded InjectedCrashError —
+        # both structured, both accounted.
         assert all(
             record.failure.error_type in ("WorkerCrashError", "InjectedCrashError")
             for record in pipe.failures

@@ -443,6 +443,28 @@ class TestHTTP:
             stats = json.loads(response.read())
         assert "caches" in stats and "counters" in stats
 
+    def test_keep_alive_replies_do_not_stall(self, endpoint):
+        """Warm replies on one connection come back without a delayed-ACK wait."""
+        import http.client
+        import statistics
+
+        body = _job(7).to_json()
+        port = int(endpoint.rsplit(":", 1)[1])
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+        try:
+            elapsed = []
+            for attempt in range(11):  # the first request warms the caches
+                start = time.perf_counter()
+                connection.request("POST", "/solve", body=body)
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                if attempt:
+                    elapsed.append(time.perf_counter() - start)
+        finally:
+            connection.close()
+        assert statistics.median(elapsed) < 0.020
+
 
 # --------------------------------------------------------------------------- #
 # SIGTERM drain (real process)

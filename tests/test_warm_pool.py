@@ -2,9 +2,10 @@
 
 The contract under test (ROADMAP item 3):
 
-* the pluggable backend registry (:func:`repro.runtime.make_executor`)
-  selects the warm pool for ``jobs > 1`` — except on single-CPU hosts,
-  where it warns and falls back to the batched serial path;
+* :func:`repro.runtime.make_executor` knows two backends, ``serial`` and
+  ``warm-pool``, and selects the warm pool for ``jobs > 1`` — except on
+  single-CPU hosts, where it warns and falls back to the batched serial
+  path;
 * :class:`repro.pool.WarmPoolExecutor` keeps long-lived workers, survives
   crashes by respawning within a budget, and carries fault plans per task;
 * ``Session.solve_many`` over the pool is bit-identical to the serial
@@ -33,7 +34,6 @@ from repro.pool import WarmPoolExecutor, _crash_probe, _echo_probe, _sleep_probe
 from repro.runtime import (
     SerialExecutor,
     SupervisedExecutor,
-    available_backends,
     make_executor,
 )
 from repro.shm import (
@@ -112,8 +112,7 @@ class TestSharedMemory:
 
     def test_registry_refcount_pins_across_eviction(self):
         registry = SharedSegmentRegistry(max_segments=1)
-        name_a, _ = registry.publish("a", {"x": np.arange(3.0)})
-        registry.acquire("a")
+        name_a, _ = registry.publish_pinned("a", {"x": np.arange(3.0)})
         registry.publish("b", {"x": np.arange(3.0)})
         # "a" is pinned: the bound is exceeded rather than unlinking it.
         assert "a" in registry
@@ -124,6 +123,32 @@ class TestSharedMemory:
         assert "a" not in registry
         assert not (_SHM_DIR / name_a).exists()
         assert registry.stats()["evictions"] >= 1
+        registry.close()
+
+    def test_publish_never_evicts_the_segment_it_returns(self):
+        registry = SharedSegmentRegistry(max_segments=2)
+        for key in ("a", "b"):
+            registry.publish_pinned(key, {"x": np.arange(3.0)})
+        name_c, layout_c = registry.publish("c", {"x": np.arange(5.0)})
+        # Every other entry is pinned: the bound is exceeded instead.
+        assert "c" in registry
+        mapped, views = attach_arrays(name_c, layout_c)
+        try:
+            np.testing.assert_array_equal(views["x"], np.arange(5.0))
+        finally:
+            del views
+            mapped.close()
+        registry.close()
+
+    def test_publish_pinned_pins_in_the_same_step(self):
+        registry = SharedSegmentRegistry(max_segments=1)
+        name_a, _ = registry.publish_pinned("a", {"x": np.arange(3.0)})
+        assert registry.stats()["pinned"] == 1
+        registry.publish("b", {"x": np.arange(3.0)})
+        registry.publish("c", {"x": np.arange(3.0)})
+        assert "a" in registry and (_SHM_DIR / name_a).exists()
+        registry.release("a")
+        assert registry.stats()["pinned"] == 0
         registry.close()
 
     def test_registry_close_unlinks_everything_and_is_final(self):
@@ -140,11 +165,15 @@ class TestSharedMemory:
 
 
 # --------------------------------------------------------------------------- #
-# Backend registry
+# Backend selection
 # --------------------------------------------------------------------------- #
 class TestMakeExecutor:
     def test_registered_backends(self):
-        assert {"serial", "process", "warm-pool"} <= set(available_backends())
+        assert isinstance(make_executor("serial", 2), SerialExecutor)
+        with pytest.raises(ExperimentError, match="serial, warm-pool"):
+            make_executor("process", 2)
+        with pytest.raises(ExperimentError, match="warm-pool"):
+            Session(backend="process")
 
     def test_jobs_one_defaults_to_serial(self):
         assert isinstance(make_executor(None, 1), SerialExecutor)
@@ -246,7 +275,7 @@ class TestWarmPoolExecutor:
         for key in ("alive", "spawns", "respawns", "crashes", "completed", "failed"):
             assert key in stats
         assert set(stats["shared_segments"]) == {
-            "segments", "bytes", "published", "hits", "evictions",
+            "segments", "bytes", "published", "hits", "evictions", "pinned",
         }
 
     def test_supervised_map_outcomes_over_the_pool(self, pool):
@@ -323,6 +352,22 @@ class TestSessionOverWarmPool:
             assert all(
                 r.failure.error_type == "InjectedWorkerError" for r in results
             )
+
+    def test_raising_group_releases_every_groups_pins(self):
+        from repro.exceptions import ReproError
+
+        jobs = [_job(seed) for seed in range(4)]
+        with Session(
+            jobs=2,
+            backend="warm-pool",
+            retry_policy=RetryPolicy(retries=0, backoff=0.001),
+        ) as session:
+            with inject_faults(seed=3, task_error_rate=1.0, persistent=True):
+                with pytest.raises(ReproError):
+                    session.solve_many(jobs, on_error="raise")
+            segments = session.executor.registry.stats()
+            assert segments["published"] == 4
+            assert segments["pinned"] == 0
 
     def test_solve_many_async_matches_sync(self, serial_results):
         jobs, expected = serial_results
